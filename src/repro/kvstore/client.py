@@ -188,7 +188,10 @@ class KvClient:
 
         Returns up to ``limit`` rows' worth of (row, column, version,
         value) tuples, rows ascending, newest version <= max_version.
-        Retries per region like :meth:`get`.
+        Each region server reads at most ``limit + 1`` rows per store;
+        deleted rows count toward its page but return no cells, so a full
+        page resumes just past the reply's ``last_row`` rather than the
+        last row returned.  Retries per region like :meth:`get`.
         """
         out: List[tuple] = []
         rows_seen: set = set()
@@ -233,8 +236,10 @@ class KvClient:
             out.extend(cells)
             for row, *_rest in cells:
                 rows_seen.add(row)
-            if reply["more"] and cells:
-                cursor = cells[-1][0] + "\x00"  # resume just past the last row
+            if reply["more"]:
+                # Resume just past the last row the server counted, which
+                # may be a deleted row that returned no cells.
+                cursor = reply["last_row"] + "\x00"
             elif region_end is None:
                 break
             else:

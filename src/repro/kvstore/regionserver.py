@@ -587,8 +587,17 @@ class RegionServer(ZkWatcherMixin, Node):
         """Range scan within one region: newest version <= max_version per
         (row, column), rows ascending, at most ``limit`` rows.
 
-        Returns ``{"cells": [(row, col, version, value)], "more": bool}``;
-        ``more`` signals the caller to continue from the last row returned.
+        A row counts toward ``limit`` if any of its columns has a version
+        <= max_version, tombstones included, though a deleted cell is not
+        returned.  Each sstable's block walk therefore stops after its own
+        first ``limit + 1`` such rows (or at ``end_row``): a row among the
+        merged first ``limit + 1`` is among every store's first ``limit + 1``,
+        so the bounded merge is exact.  Rows never span blocks.
+
+        Returns ``{"cells": [(row, col, version, value)], "more": bool,
+        "last_row": str | None}``.  ``last_row`` is the last row counted
+        toward ``limit`` (possibly a fully deleted one); when ``more`` is
+        set the caller resumes just past it.
         """
         region = self.regions.get(region_id)
         if region is None:
@@ -608,32 +617,42 @@ class RegionServer(ZkWatcherMixin, Node):
             if not sstable.index:
                 continue
             first = sstable.block_for_row(start_row)
-            first = 0 if first is None else first
-            for block_idx in range(first, sstable.n_blocks):
-                if end_row is not None and sstable.index[block_idx] >= end_row:
+            rows = 0
+            last = None
+            for block_idx in range(first or 0, sstable.n_blocks):
+                if rows > limit or (
+                    end_row is not None and sstable.index[block_idx] >= end_row
+                ):
                     break
                 block_map = yield from self._cached_block(region, sstable, block_idx)
                 if block_map is None:
                     break  # file gone; sstable dropped from the region
                 for (row, column), versions in block_map.items():
-                    if row < start_row or (end_row is not None and row >= end_row):
-                        continue
+                    if row != last:
+                        if row < start_row:
+                            continue
+                        if rows > limit or (end_row is not None and row >= end_row):
+                            break
                     candidate = self._best_version(versions, max_version)
                     if candidate is None:
                         continue
+                    if row != last:
+                        rows += 1
+                        last = row
                     current = best.get((row, column))
                     if current is None or candidate[0] > current[0]:
                         best[(row, column)] = candidate
 
         rows_sorted = sorted({row for row, _col in best})
         more = len(rows_sorted) > limit
-        keep = set(rows_sorted[:limit])
-        out = [
+        keep = rows_sorted[:limit]
+        last_row = keep[-1] if keep else None
+        out = sorted(
             (row, column, version, value)
-            for (row, column), (version, value) in sorted(best.items())
-            if row in keep and value is not None
-        ]
-        return {"cells": out, "more": more}
+            for (row, column), (version, value) in best.items()
+            if last_row is not None and row <= last_row and value is not None
+        )
+        return {"cells": out, "more": more, "last_row": last_row}
 
     # ------------------------------------------------------------------
     # transactional writes

@@ -1,5 +1,7 @@
 """Tests for range scans, compaction, and WAL rolling."""
 
+import math
+
 import pytest
 
 from repro import ClusterConfig, SimCluster, TABLE
@@ -95,6 +97,61 @@ class TestScan:
 
         rows = cluster.run(scan())
         assert [r for r, _v in rows] == [row_key(i) for i in range(495, 500)]
+
+    def test_scan_resumes_past_a_page_of_deleted_rows(self, scan_cluster):
+        # With limit=3 the server's second page holds only the deleted
+        # rows 43-44; the client must resume after them, not jump to the
+        # region end and skip rows 45-124.
+        cluster, handle = scan_cluster
+
+        def delete():
+            ctx = yield from handle.txn.begin()
+            for i in range(41, 45):
+                handle.txn.delete(ctx, TABLE, row_key(i))
+            yield from handle.txn.commit(ctx, wait_flush=True)
+
+        cluster.run(delete())
+
+        def scan():
+            ctx = yield from handle.txn.begin()
+            return (yield from handle.txn.scan(ctx, TABLE, row_key(40), None, limit=3))
+
+        rows = cluster.run(scan())
+        assert [r for r, _v in rows] == [row_key(40), row_key(45), row_key(46)]
+
+
+class TestScanBlockBound:
+    ROWS_PER_BLOCK = 8
+
+    @pytest.fixture(scope="class")
+    def small_block_cluster(self):
+        config = ClusterConfig(seed=81)
+        config.workload.n_rows = 500
+        config.kv.n_regions = 4
+        config.kv.rows_per_block = self.ROWS_PER_BLOCK
+        cluster = SimCluster(config).start()
+        cluster.preload()
+        cluster.warm_caches()
+        return cluster
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 20])
+    def test_limit_k_scan_reads_few_blocks(self, small_block_cluster, k):
+        """A limit-k scan reads at most ceil((k + 1) / rows_per_block) + 1
+        blocks per sstable, not every block to the region end."""
+        cluster = small_block_cluster
+        bound = math.ceil((k + 1) / self.ROWS_PER_BLOCK) + 1
+        for rs in cluster.servers:
+            for region in list(rs.regions.values()):
+                n_sstables = len(region.sstables)
+                assert n_sstables and region.sstables[0].n_blocks > bound
+                for start in (region.descriptor.start, region.sstables[0].index[1] + "0"):
+                    before = rs.cache.hits + rs.cache.misses
+                    reply = cluster.run(
+                        rs.rpc_scan("t", region.region_id, start, None, 1, limit=k)
+                    )
+                    lookups = rs.cache.hits + rs.cache.misses - before
+                    assert len(reply["cells"]) == k and reply["more"]
+                    assert lookups <= bound * n_sstables
 
 
 class TestCompaction:
