@@ -37,7 +37,8 @@ bit-identical summaries.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.metrics.histogram import LatencyHistogram
 
@@ -96,7 +97,14 @@ class Span:
 
 
 class SpanTracer:
-    """Collects spans from every node sharing one simulation kernel."""
+    """Collects spans from every node sharing one simulation kernel.
+
+    Finished spans are retained in a ring buffer of the newest
+    ``max_records``: once it is full, each newly finished span evicts
+    the oldest one.  The per-stage histograms, counts and per-txn
+    duration sums are updated at finish time and never trimmed, so
+    :meth:`stage_summary` and :meth:`sum_durations` cover every span.
+    """
 
     def __init__(
         self,
@@ -106,8 +114,9 @@ class SpanTracer:
         self._clock = clock
         self._next_id = 1
         self._open: Dict[int, Span] = {}
-        self._finished: List[Span] = []
-        self._max_records = max_records
+        # A ring buffer: appending past the cap evicts the oldest span in
+        # O(1), so a long run pays the same per span before and after it.
+        self._finished: Deque[Span] = deque(maxlen=max_records)
         self._stage_hist: Dict[str, LatencyHistogram] = {}
         self._stage_count: Dict[str, int] = {}
         self._truncated: List[Span] = []
@@ -152,8 +161,6 @@ class SpanTracer:
             sums = self._txn_stage_sums
             sums[key] = sums.get(key, 0.0) + duration
         self._finished.append(span)
-        if len(self._finished) > self._max_records:
-            del self._finished[: len(self._finished) - self._max_records]
 
     def _record_duration(self, stage: str, duration: float) -> None:
         hist = self._stage_hist.get(stage)
@@ -193,8 +200,6 @@ class SpanTracer:
             sums = self._txn_stage_sums
             sums[key] = sums.get(key, 0.0) + duration
         self._finished.append(span)
-        if len(self._finished) > self._max_records:
-            del self._finished[: len(self._finished) - self._max_records]
         return span
 
     def truncate_open(self, predicate: Callable[[Span], bool]) -> List[Span]:

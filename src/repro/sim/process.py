@@ -44,7 +44,10 @@ class Process(Event):
         # One bound method reused for every wait: the resume trampoline is
         # registered as a callback tens of thousands of times per run, and
         # each implicit ``self._resume`` lookup would mint a fresh bound
-        # method object.
+        # method object.  The cached bound method references the process,
+        # so this is a reference cycle: _finish() breaks it on every
+        # terminal path, letting a finished process be freed by reference
+        # counting instead of waiting for the cyclic GC.
         self._resume = self._do_resume
         # Kick the generator off from the kernel loop, never synchronously
         # inside the caller.  A scheduled callback with a None outcome is
@@ -114,21 +117,23 @@ class Process(Event):
                     event._defused = True
                     nxt = generator.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._finish(True, stop.value)
                 return
             except BaseException as exc:  # generator died
-                self.fail(exc)
-                self.kernel._note_process_failure(self, exc)
+                if type(exc) is Interrupt:
+                    # A crash signal, not a bug.  Its traceback would hold
+                    # this frame and, through f_back, the kernel loop's:
+                    # a cycle back to the process that nobody reads.
+                    exc.__traceback__ = None
+                self._finish(False, exc)
                 return
 
             try:
                 callbacks = nxt.callbacks
             except AttributeError:
-                exc2 = ScheduleError(
+                self._finish(False, ScheduleError(
                     f"process {self.name!r} yielded non-event {nxt!r}"
-                )
-                self.fail(exc2)
-                self.kernel._note_process_failure(self, exc2)
+                ))
                 return
 
             if callbacks is None:
@@ -138,6 +143,22 @@ class Process(Event):
             callbacks.append(self._resume)
             self._target = nxt
             return
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """Trigger the process event, first dropping the generator and the
+        resume trampoline.
+
+        Nothing reads either again: a late wakeup and :meth:`interrupt`
+        both return early on a triggered process.  From here on only
+        waiters and the owning node's process table hold the process, and
+        they let go once the event is processed.
+        """
+        self._generator = self._resume = None
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
+            self.kernel._note_process_failure(self, value)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("done" if self.ok else "failed")

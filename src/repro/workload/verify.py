@@ -154,7 +154,9 @@ class CommitLedger:
         or corruption.  Returns all violations found.
         """
         if kv is None:
-            auditor = cluster.add_client(f"auditor{cluster.kernel.event_count}")
+            # Named from the client count, which every add_client() grows:
+            # the event count can stand still between two audits.
+            auditor = cluster.add_client(f"auditor{len(cluster.clients)}")
             kv = auditor.kv
         violations: List[Violation] = []
 

@@ -204,6 +204,28 @@ def test_stage_with_only_truncated_spans_reports_zero_latency():
     assert summary["truncated"] == 1
 
 
+def test_span_store_keeps_the_newest_max_records():
+    clock = FakeClock()
+    tracer = SpanTracer(clock, max_records=5)
+    made = []
+    for i in range(6):
+        span = tracer.begin("rs.apply", txn=f"c0:{i % 2}")
+        clock.now += 0.01
+        made.append(span.end())
+        made.append(tracer.record("commit.reply", 0.001, txn=f"c0:{i % 2}"))
+    newest = made[-5:]
+    assert tracer.spans() == newest
+    assert [s.span_id for s in tracer.spans()] == sorted(s.span_id for s in newest)
+    assert tracer.spans(stage="rs.apply") == [s for s in newest if s.stage == "rs.apply"]
+    assert tracer.spans(txn="c0:1", stage="commit.reply") == [
+        s for s in newest if s.txn == "c0:1" and s.stage == "commit.reply"
+    ]
+    # The aggregates are never trimmed: they cover every finished span.
+    summary = tracer.stage_summary()
+    assert summary["rs.apply"]["count"] == 6
+    assert summary["commit.reply"]["count"] == 6
+
+
 def test_tracer_for_is_shared_per_kernel():
     kernel = Kernel(seed=1)
     assert tracer_for(kernel) is tracer_for(kernel)

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel, events, and processes."""
 
+import gc
+import types
+
 import pytest
 
 from repro.errors import ScheduleError, SimulationError
-from repro.sim import Interrupt, Kernel
+from repro.sim import Interrupt, Kernel, Network, Node
+from repro.sim.process import Process
 
 
 def test_timeout_advances_clock():
@@ -259,3 +263,121 @@ def test_immediate_events_processed_in_fifo_order():
         k.process(proc(k, name))
     k.run()
     assert order == ["first", "second", "third"]
+
+
+def _cyclic_garbage(scenario):
+    """Run ``scenario`` with automatic GC off, then return what a full
+    collection finds unreachable (saved under ``gc.DEBUG_SAVEALL``).
+
+    ``scenario`` returns the objects the simulation itself keeps (the
+    kernel, nodes); they stay referenced while collecting, so only what
+    the run dropped can show up.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    debug = gc.get_debug()
+    saved = len(gc.garbage)
+    gc.disable()
+    try:
+        keep = scenario()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = gc.garbage[saved:]
+        del keep
+        return found
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[saved:]
+        if was_enabled:
+            gc.enable()
+
+
+def _processes_and_generators(found, *gen_functions):
+    codes = {fn.__code__ for fn in gen_functions}
+    return [
+        o for o in found
+        if isinstance(o, Process)
+        or (type(o) is types.GeneratorType and o.gi_code in codes)
+    ]
+
+
+def test_finished_processes_are_freed_without_the_cyclic_gc():
+    def returns(k):
+        yield k.timeout(1)
+        return "done"
+
+    def raises(k):
+        yield k.timeout(1)
+        raise RuntimeError("handled by the waiter")
+
+    def catches(k, ev):
+        try:
+            yield ev  # fails; the process defuses it and handles it
+        except ValueError:
+            pass
+        return "recovered"
+
+    def waits(k, p):
+        try:
+            yield p
+        except (RuntimeError, ScheduleError):
+            pass
+
+    def victim(k):
+        yield k.timeout(100)
+
+    def killer(k, p):
+        yield k.timeout(2)
+        p.interrupt("crash")
+
+    def yields_non_event(k):
+        yield 42
+
+    def scenario():
+        k = Kernel(strict=True)
+        k.process(returns(k))
+        k.process(waits(k, k.process(raises(k))))
+        ev = k.event()
+        k.process(catches(k, ev))
+        ev.fail(ValueError("defused"))
+        k.process(victim(k)).interrupt("before the first step")
+        k.process(killer(k, k.process(victim(k))))
+        k.process(waits(k, k.process(yields_non_event(k))))
+        k.run()
+        # Non-Interrupt failures are kept for post-mortems by design.
+        assert [type(exc) for _, exc in k.dead_processes] == [
+            ScheduleError, RuntimeError,
+        ]
+        return k
+
+    found = _cyclic_garbage(scenario)
+    assert _processes_and_generators(
+        found, returns, raises, catches, waits, victim, killer,
+        yields_non_event,
+    ) == []
+
+
+class _HandlerNode(Node):
+    def rpc_slow_echo(self, sender, text):
+        yield self.kernel.timeout(0.01)
+        return text
+
+
+def test_finished_rpc_handler_processes_are_freed_without_the_cyclic_gc():
+    def caller(k, node):
+        return (yield node.call("b", "slow_echo", text="hi"))
+
+    def scenario():
+        k = Kernel(strict=True)
+        net = Network(k)
+        a = _HandlerNode(k, net, "a")
+        b = _HandlerNode(k, net, "b")
+        assert k.run_until_complete(k.process(caller(k, a))) == "hi"
+        k.run()
+        assert not b._procs
+        return k, net, a, b
+
+    found = _cyclic_garbage(scenario)
+    assert _processes_and_generators(
+        found, caller, _HandlerNode.rpc_slow_echo, Node._run_handler
+    ) == []

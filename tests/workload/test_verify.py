@@ -160,3 +160,21 @@ def test_record_outcome_alone_skips_the_audit():
 
     assert len(ledger) == 0
     assert ledger.outcome_counts() == {"committed": 1}
+
+
+def test_back_to_back_audits_get_distinct_auditors():
+    """Two audits with no event in between must not reuse an address.
+
+    With recovery off, adding the auditor runs no event, so an empty
+    ledger's audit leaves the event count where it was.
+    """
+    config = ClusterConfig(seed=161)
+    config.workload.n_rows = 2000
+    config.kv.n_regions = 4
+    config.recovery.enabled = False
+    cluster = SimCluster(config).start()
+    ledger = CommitLedger()
+    assert ledger.verify(cluster) == []
+    assert ledger.verify(cluster) == []
+    auditors = [h.node.addr for h in cluster.clients]
+    assert len(auditors) == 2 and len(set(auditors)) == 2
