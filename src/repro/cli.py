@@ -47,16 +47,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         help="calendar-queue bucket width in simulated seconds",
     )
     parser.add_argument(
-        "--flush-max-batch", type=int, default=1, metavar="N",
-        help="max txn-flush fragments coalesced into one batched RPC per "
-             "region server (1 = batching off)",
-    )
-    parser.add_argument(
-        "--flush-coalesce-window", type=float, default=0.0, metavar="SECONDS",
-        help="how long a client's per-server flush coalescer gathers "
-             "fragments before shipping a batch (0 = ship immediately)",
-    )
-    parser.add_argument(
         "--tm-shards", type=int, default=1, metavar="N",
         help="partition the transaction manager into N shards (tm0..tmN-1, "
              "cross-shard commits via non-blocking 2PC; 1 = classic single "
@@ -109,8 +99,6 @@ def _build(args: argparse.Namespace) -> SimCluster:
     config.kv.n_regions = args.regions
     config.sim.queue_impl = getattr(args, "queue_impl", "calendar")
     config.sim.queue_bucket_width = getattr(args, "queue_bucket_width", 0.005)
-    config.kv.flush_max_batch = getattr(args, "flush_max_batch", 1)
-    config.kv.flush_coalesce_window = getattr(args, "flush_coalesce_window", 0.0)
     config.txn.tm_shards = getattr(args, "tm_shards", 1)
     config.txn.isolation = getattr(args, "isolation", "si")
     if args.sync_wal:

@@ -463,6 +463,7 @@ class SimCluster:
         shard transactions touching this shard park until it restarts
         (the non-blocking protocol resolves any in-doubt ones then).
         """
+        self._require_sharded_tm("crash_tm_shard")
         self.tms[index].crash()
 
     def restart_tm_shard(self, index: int) -> None:
@@ -473,10 +474,18 @@ class SimCluster:
         (shard 0), and resolves in-doubt cross-shard transactions against
         the decision registry.
         """
+        self._require_sharded_tm("restart_tm_shard")
         tm = self.tms[index]
         tm.revive()
         proc = tm.spawn(tm.restart(), name="tm-restart")
         proc.defuse()
+
+    def _require_sharded_tm(self, what: str) -> None:
+        if len(self.tms) == 1:
+            raise ValueError(
+                f"{what} needs a sharded TM (txn.tm_shards > 1); the single "
+                "TM has no shard restart protocol"
+            )
 
     def restart_recovery_manager(self) -> RecoveryManager:
         """Kill and restart the recovery manager (Section 3.3)."""

@@ -144,16 +144,6 @@ class KvSettings:
     #: Client-side operation timeout and retry pacing.
     client_op_timeout: float = 2.0
     client_retry_delay: float = 0.25
-    #: Max transactional-flush fragments coalesced into one batched RPC per
-    #: region server (``Node.call_batch``).  1 disables batching: every
-    #: fragment travels as its own ``txn_flush`` request (the calibrated
-    #: default schedule).
-    flush_max_batch: int = 1
-    #: How long a client's per-server flush coalescer waits after the first
-    #: queued fragment before shipping the batch, gathering fragments from
-    #: concurrent transactions on the same client.  Only meaningful with
-    #: ``flush_max_batch > 1``; 0 ships what is queued immediately.
-    flush_coalesce_window: float = 0.0
 
 
 @dataclass
@@ -193,11 +183,6 @@ class TxnSettings:
     #: original verdict instead of being re-certified (which would
     #: self-conflict and double-certify).
     commit_cache_size: int = 50_000
-    #: Ship group commits to logger shards through the batched RPC path
-    #: (``Node.call_batch`` + ``rpc_shard_append_batch``): one wire message
-    #: per group, one shard-side sync, per-record acks.  Off by default --
-    #: the plain ``shard_append`` call is the calibrated schedule.
-    shard_append_batch_rpc: bool = False
     #: Number of transaction-manager shards.  1 keeps the single TM at
     #: address "tm" (the calibrated schedule, bit-for-bit).  >1 partitions
     #: the certification keyspace by hash across shards ``tm0..tmN-1``:

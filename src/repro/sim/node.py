@@ -40,8 +40,6 @@ class Node:
         # spawn order, so the schedule never depends on object hashes.
         self._procs: Dict[Process, None] = {}
         self._pending_calls: Dict[int, Event] = {}
-        # req_id -> per-item reply events of an outstanding call_batch().
-        self._pending_batches: Dict[int, List[Event]] = {}
         # Transport-level at-most-once delivery: the fabric may duplicate
         # a message (chaos layer), but each request id executes a handler
         # at most once -- like TCP retransmission dedup.  Application
@@ -103,7 +101,6 @@ class Node:
             process.interrupt("crash")
         self._procs.clear()
         self._pending_calls.clear()
-        self._pending_batches.clear()
         self._seen_requests.clear()
         for hook in list(self.crash_hooks):
             hook()
@@ -201,63 +198,6 @@ class Node:
                 self.net.rpc_retries += 1
                 yield self.sleep(policy.backoff(attempt, self.retry_rng))
 
-    def call_batch(
-        self,
-        dst: str,
-        method: str,
-        items: List[Dict[str, Any]],
-        timeout: Optional[float] = None,
-        size: Optional[int] = None,
-    ) -> List[Event]:
-        """Send ``items`` as ONE wire message; one reply event per item.
-
-        The batch travels as a single scheduled delivery (one network
-        event instead of N) and the receiver answers with a single
-        response carrying per-item outcomes, fanned back out to the
-        returned events in order.
-
-        Server side, the batch dispatches to ``rpc_{method}_batch(sender,
-        items)`` when the node defines one (a *batch-aware* handler that
-        can share work across items -- e.g. one disk sync for a group of
-        log appends -- and returns a list of ``(ok, value_or_error)``
-        pairs), falling back to invoking plain ``rpc_{method}`` once per
-        item.  Item failures are isolated: each item's event fails with
-        :class:`RemoteError` independently.
-
-        ``size`` is the wire size of the whole batch (defaults to 256
-        bytes per item).  On ``timeout``, every still-pending item event
-        fails with :class:`RpcTimeout`.
-        """
-        events = [Event(self.kernel) for _ in items]
-        if not items:
-            return events
-        if not self.alive:
-            for event in events:
-                event.fail(NodeDown(f"{self.addr} is down"))
-            return events
-        req_id = self.kernel.next_req_id()
-        self._pending_batches[req_id] = events
-        self.net.send(
-            self.net.message(
-                self.addr, dst, "batch_request", req_id, method,
-                {"items": items}, size=size if size is not None else 256 * len(items),
-            )
-        )
-        if timeout is not None:
-            self.kernel.call_later(
-                timeout, self._expire_batch, (req_id, dst, method, timeout)
-            )
-        return events
-
-    def _expire_batch(self, info: Tuple[int, str, str, float]) -> None:
-        req_id, dst, method, timeout = info
-        events = self._pending_batches.pop(req_id, None)
-        if events is None:
-            return
-        for event in events:
-            if not event.triggered:
-                event.fail(RpcTimeout(dst, method, timeout))
-
     def cast(self, dst: str, method: str, size: int = 256, **payload: Any) -> None:
         """Fire-and-forget request (no reply correlation)."""
         if not self.alive:
@@ -290,20 +230,6 @@ class Node:
                 event.fail(RemoteError(message.src, message.method, message.error or "?"))
             return
 
-        if message.kind == "batch_response":
-            events = self._pending_batches.pop(message.req_id, None)
-            if events is None:
-                return  # late reply after timeout/crash; drop
-            for event, outcome in zip(events, message.payload["results"]):
-                if event.triggered:
-                    continue  # this item already timed out
-                ok, value = outcome
-                if ok:
-                    event.succeed(value)
-                else:
-                    event.fail(RemoteError(message.src, message.method, value or "?"))
-            return
-
         if message.req_id:
             # Fabric-level duplicate of a request we already accepted:
             # suppress it (at-most-once per request id).  The first copy's
@@ -319,37 +245,6 @@ class Node:
 
         method = message.method
         handlers = self._rpc_handlers
-
-        if message.kind == "batch_request":
-            batch_key = method + "\x00batch"
-            try:
-                batch_handler = handlers[batch_key]
-            except KeyError:
-                batch_handler = handlers[batch_key] = getattr(
-                    self, f"rpc_{method}_batch", None
-                )
-            item_handler = None
-            if batch_handler is None:
-                try:
-                    item_handler = handlers[method]
-                except KeyError:
-                    item_handler = handlers[method] = getattr(
-                        self, f"rpc_{method}", None
-                    )
-                if item_handler is None:
-                    self._reply_batch(
-                        message,
-                        [(False, f"no such method {method!r}")]
-                        * len(message.payload["items"]),
-                    )
-                    return
-            message._refs += 1
-            self.spawn(
-                self._run_batch_handler(message, batch_handler, item_handler),
-                name=("rpc-batch:", method),
-            )
-            return
-
         try:
             handler = handlers[method]
         except KeyError:
@@ -384,52 +279,6 @@ class Node:
             self._reply(message, result)
         finally:
             self.net._release(message)
-
-    def _run_batch_handler(
-        self,
-        message: Message,
-        batch_handler: Optional[Callable],
-        item_handler: Optional[Callable],
-    ) -> ProcGen:
-        try:
-            items = message.payload["items"]
-            results: List[Tuple[bool, Any]] = []
-            try:
-                if batch_handler is not None:
-                    outcome = batch_handler(message.src, items)
-                    if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                        outcome = yield from outcome
-                    results = list(outcome)
-                else:
-                    for item in items:
-                        try:
-                            outcome = item_handler(message.src, **item)
-                            if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                                outcome = yield from outcome
-                            results.append((True, outcome))
-                        except Interrupt:
-                            raise
-                        except Exception as exc:
-                            results.append((False, repr(exc)))
-            except Interrupt:
-                return  # node crashed mid-batch: no reply, caller times out
-            except Exception as exc:
-                # The batch handler itself blew up: every item fails alike.
-                results = [(False, repr(exc))] * len(items)
-            self._reply_batch(message, results)
-        finally:
-            self.net._release(message)
-
-    def _reply_batch(self, message: Message, results: List[Tuple[bool, Any]]) -> None:
-        if message.req_id == 0 or not self.alive:
-            return
-        self.net.send(
-            self.net.message(
-                self.addr, message.src, "batch_response", message.req_id,
-                message.method, {"results": results},
-                size=max(64 * len(results), 256),
-            )
-        )
 
     def _reply(self, message: Message, result: Any, size: int = 256) -> None:
         if message.req_id == 0 or not self.alive:

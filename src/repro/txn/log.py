@@ -23,7 +23,7 @@ silently replayed.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import TxnSettings
@@ -93,6 +93,7 @@ class LogStats:
     """Counters for the ablation benchmarks."""
 
     appended: int = 0
+    #: Group-commit syncs, one per group of records made durable.
     syncs: int = 0
     truncated: int = 0
     #: Payload bytes reclaimed by truncation -- what T_P checkpointing
@@ -100,14 +101,23 @@ class LogStats:
     truncated_bytes: int = 0
     #: Acknowledged-but-volatile records lost to a crash (lying fsyncs).
     lost_unsynced: int = 0
-    group_sizes: List[int] = field(default_factory=list)
+    #: Records covered by those syncs, and the largest single group.
+    grouped: int = 0
+    max_group: int = 0
+
+    def record_group(self, size: int) -> None:
+        """Count one group-commit sync covering ``size`` records."""
+        self.syncs += 1
+        self.grouped += size
+        if size > self.max_group:
+            self.max_group = size
 
     @property
     def mean_group_size(self) -> float:
         """Average commits amortised per log sync."""
-        if not self.group_sizes:
+        if not self.syncs:
             return 0.0
-        return sum(self.group_sizes) / len(self.group_sizes)
+        return self.grouped / self.syncs
 
 
 class RecoveryLog:
@@ -187,8 +197,7 @@ class RecoveryLog:
                         continue
                     sync_span.end()
                     batch = batch[self.settings.group_commit_max :]
-                    self.stats.syncs += 1
-                    self.stats.group_sizes.append(len(chunk))
+                    self.stats.record_group(len(chunk))
                     for record, done in chunk:
                         self._store(record)
                         if not done.triggered:

@@ -122,6 +122,17 @@ def test_restart_recovery_manager_requires_recovery():
         cluster.restart_recovery_manager()
 
 
+def test_tm_shard_crash_restart_require_sharded_tm():
+    # The single TM has no shard restart protocol: refuse at the call
+    # instead of half-restarting it in a background process.
+    cluster = make(n_rows=1000)
+    with pytest.raises(ValueError, match="sharded TM"):
+        cluster.crash_tm_shard(0)
+    with pytest.raises(ValueError, match="sharded TM"):
+        cluster.restart_tm_shard(0)
+    assert cluster.tms[0].alive
+
+
 def test_crash_server_kills_colocated_datanode():
     cluster = make()
     cluster.crash_server(0)

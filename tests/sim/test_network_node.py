@@ -136,6 +136,23 @@ def test_crash_interrupts_spawned_processes():
     assert trace == [1.0, 2.0, 3.0]
 
 
+def test_caller_crash_drops_pending_replies():
+    k, _net, a, _b = make_pair()
+    reply = a.call("b", "slow_echo", timeout=1.0, text="x", delay=0.5)
+
+    def crash_and_revive(k, a):
+        yield k.timeout(0.1)
+        a.crash()
+        yield k.timeout(0.1)
+        a.revive()
+
+    k.process(crash_and_revive(k, a))
+    k.run()
+    # The crash cleared the pending-call table: the reply reaching the
+    # revived caller is dropped, and the deadline finds nothing to fail.
+    assert not reply.triggered
+
+
 def test_cast_is_fire_and_forget():
     k, _net, a, b = make_pair()
     received = []

@@ -145,3 +145,32 @@ class TestClusterWithShardedLog:
 
         for i in rows:
             assert cluster.run(read(i)) == f"sh-{i}"
+
+
+def test_cluster_commits_group_on_logger_shards():
+    # Concurrent commits in a full cluster reach the shards through the
+    # plain ``shard_append`` call and share group-commit syncs.
+    config = ClusterConfig(seed=17)
+    config.workload.n_rows = 2000
+    config.kv.n_regions = 4
+    config.txn.log_shards = 2
+    cluster = SimCluster(config).start()
+    cluster.preload()
+    handle = cluster.add_client()
+
+    def one(i):
+        ctx = yield from handle.txn.begin()
+        handle.txn.write(ctx, TABLE, row_key(i), f"log-{i}")
+        yield from handle.txn.commit(ctx)
+        return ctx.commit_ts
+
+    procs = [cluster.kernel.process(one(i)) for i in range(24)]
+
+    def all_commits():
+        yield cluster.kernel.all_of(procs)
+
+    cluster.run(all_commits())
+    assert all(proc.value is not None for proc in procs)
+    stats = cluster.run(cluster.tm.log.stats_gen())
+    assert stats["appended"] == 24
+    assert 0 < stats["syncs"] < stats["appended"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import DiskSettings, TxnSettings
 from repro.sim import Kernel, Network, Node
-from repro.txn.log import LogRecord, RecoveryLog
+from repro.txn.log import LogRecord, LogStats, RecoveryLog
 
 
 def make_log(interval=0.002, max_group=64, sync_latency=0.002):
@@ -56,9 +56,20 @@ def test_group_commit_batches_concurrent_appends():
 
 
 def test_group_commit_max_chunks_large_batches():
+    # 20 appends in one window with a cap of 8 sync as groups 8, 8, 4.
     k, log = make_log(interval=0.005, max_group=8)
     append_all(k, log, [record(ts) for ts in range(1, 21)])
-    assert max(log.stats.group_sizes) <= 8
+    assert (log.stats.syncs, log.stats.grouped, log.stats.max_group) == (3, 20, 8)
+    assert log.stats.mean_group_size == 20 / 3
+
+
+def test_group_stats_are_running_counters():
+    stats = LogStats()
+    assert stats.mean_group_size == 0.0
+    for size in (3, 1, 8, 4):
+        stats.record_group(size)
+    assert (stats.syncs, stats.grouped, stats.max_group) == (4, 16, 8)
+    assert stats.mean_group_size == 16 / 4
 
 
 def test_fetch_after_ts():
