@@ -49,8 +49,8 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tm-shards", type=int, default=1, metavar="N",
         help="partition the transaction manager into N shards (tm0..tmN-1, "
-             "cross-shard commits via non-blocking 2PC; 1 = classic single "
-             "TM, bit-identical to the pre-sharding schedule)",
+             "cross-shard commits via non-blocking 2PC; 1 = one shard at "
+             "address tm, which commits every write-set locally)",
     )
     parser.add_argument(
         "--isolation", choices=("si", "ssi"), default="si",

@@ -65,6 +65,7 @@ class SimCluster:
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
         cfg = self.config
+        self._validate_tm_topology(cfg)
         self.kernel = Kernel(
             seed=cfg.seed,
             queue_impl=cfg.sim.queue_impl,
@@ -121,41 +122,27 @@ class SimCluster:
                 for i in range(cfg.txn.log_shards)
             ]
 
-        # TM and RM co-hosted: one 2-core VM's worth of shared CPU.  With
-        # ``txn.tm_shards > 1`` the TM becomes an array of shard processes
-        # tm0..tmN-1 (authority at tm0) sharing that CPU; ``self.tm``
-        # stays the authority shard so single-TM call sites keep working.
+        # TM and RM co-hosted: one 2-core VM's worth of shared CPU.  The
+        # TM is an array of ``txn.tm_shards`` shard processes sharing that
+        # CPU: a lone TM keeps the address "tm", shards are tm0..tmN-1.
+        # ``self.tm`` is the authority shard, ``self.tms[0]``.
         self.tm_rm_cpu = Resource(self.kernel, capacity=2)
         n_tm_shards = cfg.txn.tm_shards
-        if n_tm_shards > 1:
-            if cfg.txn.log_shards > 0:
-                raise ValueError(
-                    "txn.tm_shards > 1 is incompatible with the distributed "
-                    "recovery log (txn.log_shards)"
-                )
-            addrs = tm_shard_addrs(n_tm_shards)
-            self.tms: List[TransactionManager] = [
-                TransactionManager(
-                    self.kernel,
-                    self.net,
-                    addr=addrs[i],
-                    settings=cfg.txn,
-                    shared_cpu=self.tm_rm_cpu,
-                    shard_index=i,
-                    shard_addrs=addrs,
-                )
-                for i in range(n_tm_shards)
-            ]
-            self.tm = self.tms[0]
-        else:
-            self.tm = TransactionManager(
+        addrs = tm_shard_addrs(n_tm_shards) if n_tm_shards > 1 else ["tm"]
+        self.tms: List[TransactionManager] = [
+            TransactionManager(
                 self.kernel,
                 self.net,
+                addr=addrs[i],
                 settings=cfg.txn,
                 shared_cpu=self.tm_rm_cpu,
-                logger_shards=[shard.addr for shard in self.logger_shards] or None,
+                logger_shards=[shard.addr for shard in self.logger_shards],
+                shard_index=i,
+                shard_addrs=addrs,
             )
-            self.tms = [self.tm]
+            for i in range(n_tm_shards)
+        ]
+        self.tm = self.tms[0]
         self.rm: Optional[RecoveryManager] = None
         if cfg.recovery.enabled:
             self.rm = RecoveryManager(
@@ -163,9 +150,7 @@ class SimCluster:
                 self.net,
                 settings=cfg.recovery,
                 kv_settings=cfg.kv,
-                tm_addr=[tm.addr for tm in self.tms]
-                if n_tm_shards > 1
-                else "tm",
+                tm_addr=[tm.addr for tm in self.tms],
                 shared_cpu=self.tm_rm_cpu,
             )
         self.master = Master(
@@ -189,6 +174,20 @@ class SimCluster:
         #: Rolling history of scraped snapshots (bounded).
         self.metrics_history: List[dict] = []
         self.max_metrics_history = 120
+
+    @staticmethod
+    def _validate_tm_topology(cfg: ClusterConfig) -> None:
+        """Reject TM-topology combinations that cannot work, once, before
+        any node is built."""
+        if cfg.txn.tm_shards > 1 and cfg.txn.log_shards > 0:
+            raise ValueError(
+                "txn.tm_shards > 1 is incompatible with the distributed "
+                "recovery log (txn.log_shards)"
+            )
+        if cfg.txn.tm_shards > 1 and cfg.txn.snapshot_visibility == "flushed":
+            raise ValueError(
+                "txn.tm_shards > 1 requires txn.snapshot_visibility='latest'"
+            )
 
     # ------------------------------------------------------------------
     # sizing
@@ -307,9 +306,7 @@ class SimCluster:
             client_id=addr,
             durability=durability,
             tracker=agent,
-            tm_addrs=[tm.addr for tm in self.tms]
-            if cfg.txn.tm_shards > 1
-            else None,
+            tm_addrs=[tm.addr for tm in self.tms],
             isolation=cfg.txn.isolation,
         )
         if self.history_recorder is not None:
@@ -497,9 +494,7 @@ class SimCluster:
             self.net,
             settings=self.config.recovery,
             kv_settings=self.config.kv,
-            tm_addr=[tm.addr for tm in self.tms]
-            if len(self.tms) > 1
-            else "tm",
+            tm_addr=[tm.addr for tm in self.tms],
             shared_cpu=self.tm_rm_cpu,
         )
         proc = self.rm.spawn(self.rm.start(recover=True), name="restart")

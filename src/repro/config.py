@@ -183,14 +183,15 @@ class TxnSettings:
     #: original verdict instead of being re-certified (which would
     #: self-conflict and double-certify).
     commit_cache_size: int = 50_000
-    #: Number of transaction-manager shards.  1 keeps the single TM at
-    #: address "tm" (the calibrated schedule, bit-for-bit).  >1 partitions
-    #: the certification keyspace by hash across shards ``tm0..tmN-1``:
-    #: single-shard transactions commit exactly as today at their owner
-    #: shard, cross-shard transactions run a non-blocking 2PC variant
-    #: (Gray & Lamport's commit-consensus shape) with the commit decision
-    #: registered durably at the timestamp-authority shard (``tm0``) so no
-    #: single coordinator crash can wedge a transaction.
+    #: Number of transaction-manager shards.  Every TM runs one commit
+    #: path; 1 is its one-shard case, a lone TM at address "tm" that
+    #: commits every write-set locally.  >1 partitions the certification
+    #: keyspace by hash across shards ``tm0..tmN-1``: single-shard
+    #: transactions commit locally at their owner shard, cross-shard
+    #: transactions run a non-blocking 2PC variant (Gray & Lamport's
+    #: commit-consensus shape) with the commit decision registered
+    #: durably at the timestamp-authority shard (``tm0``) so no single
+    #: coordinator crash can wedge a transaction.
     tm_shards: int = 1
     #: How long a participant shard waits on an undecided prepared
     #: transaction before resolving it itself against the decision

@@ -68,7 +68,10 @@ TS_RESEED_MARGIN = 100_000
 
 class TransactionManager(Node):
     """Transaction manager node (co-hostable with the recovery manager by
-    sharing a CPU resource, as in the paper's evaluation setup)."""
+    sharing a CPU resource, as in the paper's evaluation setup).
+
+    Every TM is one shard of a sharded TM: a lone TM is the one-shard
+    case and commits through the same path as each shard of many."""
 
     def __init__(
         self,
@@ -83,12 +86,11 @@ class TransactionManager(Node):
     ) -> None:
         super().__init__(kernel, net, addr)
         self.settings = settings or TxnSettings()
-        #: Sharded-TM topology.  ``shard_addrs`` lists every TM shard
-        #: (authority first); ``None`` is the classic single TM and keeps
-        #: every hot path bit-identical to the unsharded schedule.
+        #: TM topology: every shard's address, authority first.  A lone
+        #: TM is the one-shard topology ``[addr]``.
         self.shard_index = shard_index
-        self.shard_addrs = list(shard_addrs) if shard_addrs else None
-        self.n_shards = len(self.shard_addrs) if self.shard_addrs else 1
+        self.shard_addrs = list(shard_addrs) if shard_addrs else [addr]
+        self.n_shards = len(self.shard_addrs)
         #: Shard 0 is the timestamp authority and decision registrar.
         self.is_authority = shard_index == 0
         self.oracle = TimestampOracle()
@@ -99,19 +101,18 @@ class TransactionManager(Node):
             )
         #: The SSI rw-antidependency window (``isolation="ssi"`` only).
         #: Serializability is a global property, so the window lives where
-        #: every commit decision already lands: the single TM, or the
-        #: authority shard -- whose oracle stamps and decision registry
-        #: serialize all commits -- when sharded.
+        #: every commit decision already lands: the authority shard, whose
+        #: oracle stamps and decision registry serialize all commits.
         self.ssi: Optional[SSIWindow] = None
         if self.settings.isolation == "ssi" and self.is_authority:
             self.ssi = SSIWindow(horizon=self.settings.certification_horizon)
         if logger_shards:
-            if self.n_shards > 1:
-                raise ValueError("tm_shards > 1 is incompatible with log_shards")
             from repro.txn.loggers import DistributedRecoveryLog
 
             self.log = DistributedRecoveryLog(self, logger_shards, self.settings)
         else:
+            # A lone TM mints every stamp it logs, so its appends arrive in
+            # stamp order and the log asserts it; a shard's need not.
             self.log = RecoveryLog(self, self.settings, ordered=self.n_shards == 1)
         self.cpu = shared_cpu or Resource(kernel, capacity=self.settings.rpc_workers)
         self._txn_ids = itertools.count(1)
@@ -125,8 +126,26 @@ class TransactionManager(Node):
             self._n_aborts,
             self._n_read_only,
             self._n_duplicate_commits,
+            self._n_prepares,
+            self._n_decide_commits,
+            self._n_decide_aborts,
+            self._n_cross_shard_commits,
+            self._n_decisions_applied,
+            self._n_indoubt_resolved,
+            self._n_ts_grants,
         ) = self.registry.counters(
-            "begins", "commits", "aborts", "read_only", "duplicate_commits"
+            "begins",
+            "commits",
+            "aborts",
+            "read_only",
+            "duplicate_commits",
+            "prepares",
+            "decide_commits",
+            "decide_aborts",
+            "cross_shard_commits",
+            "decisions_applied",
+            "indoubt_resolved",
+            "ts_grants",
         )
         self._tracer = tracer_for(kernel)
         # Idempotent commit handling: remember each transaction's verdict
@@ -151,57 +170,35 @@ class TransactionManager(Node):
         # commit that will ever be acknowledged to that client.
         self._fenced: set = set()
         self._inflight_commits: Dict[str, int] = {}
-        if self.n_shards > 1:
-            if self.settings.snapshot_visibility == "flushed":
-                raise ValueError(
-                    "tm_shards > 1 requires snapshot_visibility='latest'"
-                )
-            # Highest commit timestamp this shard has witnessed anywhere
-            # (grants, decisions, peers) -- the authority re-seed floor.
-            self._max_seen_ts = 0
-            # Keys held by prepared-but-undecided transactions: certifying
-            # against a reserved key conflicts, so an in-doubt write-set
-            # can never be silently overwritten while its fate is open.
-            self._reserved: Dict[Tuple[str, str, str], Tuple[str, int]] = {}
-            # The durable prepare journal (stable storage: survives a
-            # crash).  One entry per prepared-here transaction, dropped
-            # when its decision is applied.
-            self._prepared: Dict[Tuple[str, int], dict] = {}
-            # Decisions already applied to this shard's slice, for
-            # idempotent duplicate decision deliveries.
-            self._applied: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            # Authority only: the durable first-writer-wins decision
-            # registry -- the replicated commit decision of Gray &
-            # Lamport's non-blocking commit, collapsed onto the authority
-            # shard's stable storage.  Any participant (or the recovery
-            # manager, transitively) can finish an in-doubt transaction
-            # by racing an abort proposal against the coordinator here.
-            self._registry: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            self._registry_gates: Dict[Tuple[str, int], object] = {}
-            # Authority only, SSI only: remembered ``ssi_commit`` verdicts,
-            # so a retried grant request (response lost) returns the
-            # original stamp instead of re-certifying -- a second pass
-            # would see the first admission as a concurrent committer and
-            # self-conflict.
-            self._ssi_grants: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            (
-                self._n_prepares,
-                self._n_decide_commits,
-                self._n_decide_aborts,
-                self._n_cross_shard_commits,
-                self._n_decisions_applied,
-                self._n_indoubt_resolved,
-                self._n_ts_grants,
-            ) = self.registry.counters(
-                "prepares",
-                "decide_commits",
-                "decide_aborts",
-                "cross_shard_commits",
-                "decisions_applied",
-                "indoubt_resolved",
-                "ts_grants",
-            )
-            self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
+        # Highest commit timestamp this shard has witnessed anywhere
+        # (grants, decisions, peers) -- the authority re-seed floor.
+        self._max_seen_ts = 0
+        # Keys held by prepared-but-undecided transactions: certifying
+        # against a reserved key conflicts, so an in-doubt write-set
+        # can never be silently overwritten while its fate is open.
+        self._reserved: Dict[Tuple[str, str, str], Tuple[str, int]] = {}
+        # The durable prepare journal (stable storage: survives a
+        # crash).  One entry per prepared-here transaction, dropped
+        # when its decision is applied.
+        self._prepared: Dict[Tuple[str, int], dict] = {}
+        # Decisions already applied to this shard's slice, for
+        # idempotent duplicate decision deliveries.
+        self._applied: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
+        # Authority only: the durable first-writer-wins decision
+        # registry -- the replicated commit decision of Gray &
+        # Lamport's non-blocking commit, collapsed onto the authority
+        # shard's stable storage.  Any participant (or the recovery
+        # manager, transitively) can finish an in-doubt transaction
+        # by racing an abort proposal against the coordinator here.
+        self._registry: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
+        self._registry_gates: Dict[Tuple[str, int], object] = {}
+        # Authority only, SSI only: remembered ``ssi_commit`` verdicts,
+        # so a retried grant request (response lost) returns the
+        # original stamp instead of re-certifying -- a second pass
+        # would see the first admission as a concurrent committer and
+        # self-conflict.
+        self._ssi_grants: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
+        self._spawn_indoubt_resolver()
 
     # ------------------------------------------------------------------
     # transaction lifecycle
@@ -310,7 +307,13 @@ class TransactionManager(Node):
         log_commit: bool,
         reads: Optional[List] = None,
     ):
-        """Certify, stamp, and (optionally) log one commit.  (Generator.)"""
+        """Certify, stamp, and (optionally) log one commit.  (Generator.)
+
+        A write-set owned entirely by this shard -- on a lone TM, every
+        write-set -- commits here: certification, a commit stamp from the
+        authority, a log record.  A write-set spanning shards runs the
+        non-blocking 2PC variant with this shard as coordinator.
+        """
         txn_key = f"{client_id}:{txn_id}"
         certify_span = self._tracer.begin("commit.certify", txn=txn_key)
         yield from self.cpu.use(self.settings.op_service_time)
@@ -331,103 +334,6 @@ class TransactionManager(Node):
             certify_span.end(outcome="read_only")
             return {"status": "committed", "commit_ts": start_ts, "read_only": True}
 
-        if self.n_shards > 1:
-            reply = yield from self._decide_commit_sharded(
-                client_id, txn_id, start_ts, writes, log_commit, certify_span,
-                reads,
-            )
-            return reply
-
-        keys = [(table, row, column) for table, row, column, _value in writes]
-        conflict = self.certifier.certify(start_ts, keys)
-        if conflict is not None:
-            self._n_aborts.inc()
-            certify_span.end(outcome="aborted")
-            return {"status": "aborted", "conflict_key": list(conflict)}
-        if self.ssi is not None:
-            rkeys = _read_pairs(reads)
-            ssi_conflict = self.ssi.check(start_ts, keys, rkeys)
-            if ssi_conflict is not None:
-                self._n_aborts.inc()
-                self.registry.counter("ssi_aborts").inc()
-                certify_span.end(outcome="aborted")
-                return {
-                    "status": "aborted",
-                    "conflict_key": list(ssi_conflict),
-                    "ssi": True,
-                }
-
-        commit_ts = self.oracle.next()
-        self.certifier.record(commit_ts, keys)
-        if self.ssi is not None:
-            # Back-to-back with check(), no yields in between: the
-            # check-and-admit pair is atomic under the event loop.
-            self.ssi.admit(start_ts, commit_ts, keys, rkeys)
-        self._n_commits.inc()
-        certify_span.end(outcome="committed")
-        if self.settings.snapshot_visibility == "flushed":
-            heapq.heappush(self._unflushed, commit_ts)
-
-        if log_commit:
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in writes:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=client_id,
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(writes), 96),
-            )
-            # Queue wait + group-commit window + disk sync, all in one
-            # stage: the client is unblocked exactly when this ends.
-            append_span = certify_span.child("commit.log_append")
-            yield self.log.append(record)
-            append_span.end()
-        return {"status": "committed", "commit_ts": commit_ts}
-
-    def _certify_read_only(self, start_ts: int, reads: List) -> dict:
-        """SSI certification of a read-only transaction (plain call, so it
-        is atomic under the event loop).  No commit stamp is minted -- on
-        success the snapshot stays the serialization point, exactly the
-        classic read-only fast path -- but the reads enter the rw-edge
-        window with the newest timestamp as their commit point."""
-        rkeys = _read_pairs(reads)
-        conflict = self.ssi.check(start_ts, (), rkeys)
-        if conflict is not None:
-            self._n_aborts.inc()
-            self.registry.counter("ssi_aborts").inc()
-            return {
-                "status": "aborted",
-                "conflict_key": list(conflict),
-                "ssi": True,
-            }
-        self.ssi.admit(start_ts, self.oracle.current(), (), rkeys)
-        self._n_read_only.inc()
-        return {"status": "committed", "commit_ts": start_ts, "read_only": True}
-
-    # ------------------------------------------------------------------
-    # sharded commit protocol (tm_shards > 1 only)
-    # ------------------------------------------------------------------
-    def _decide_commit_sharded(
-        self,
-        client_id: str,
-        txn_id: int,
-        start_ts: int,
-        writes: List[WireWrite],
-        log_commit: bool,
-        certify_span,
-        reads: Optional[List] = None,
-    ):
-        """Route one update commit through the sharded protocol.
-
-        Single-shard write-sets (all keys owned here) commit locally --
-        certification, a commit stamp from the authority, a slice log
-        record -- exactly the classic path plus the timestamp fetch.
-        Cross-shard write-sets run the non-blocking 2PC variant with this
-        shard as coordinator.
-        """
         key = (client_id, txn_id)
         applied = self._applied.get(key)
         if applied is not None:
@@ -450,13 +356,73 @@ class TransactionManager(Node):
         )
         return reply
 
+    def _certify_read_only(self, start_ts: int, reads: List) -> dict:
+        """SSI certification of a read-only transaction (plain call, so it
+        is atomic under the event loop).  No commit stamp is minted -- on
+        success the snapshot stays the serialization point, exactly the
+        classic read-only fast path -- but the reads enter the rw-edge
+        window with the newest timestamp as their commit point."""
+        rkeys = _read_pairs(reads)
+        conflict = self.ssi.check(start_ts, (), rkeys)
+        if conflict is not None:
+            self._n_aborts.inc()
+            self.registry.counter("ssi_aborts").inc()
+            return {
+                "status": "aborted",
+                "conflict_key": list(conflict),
+                "ssi": True,
+            }
+        self.ssi.admit(start_ts, self.oracle.current(), (), rkeys)
+        self._n_read_only.inc()
+        return {"status": "committed", "commit_ts": start_ts, "read_only": True}
+
+    def _mint(self, start_ts=None, writes=(), reads=()):
+        """Mint one commit stamp from this (authority) shard's oracle.
+
+        Given a transaction's ``start_ts`` under SSI, the rw-edge check,
+        the mint and the window admission run back to back with no yield
+        between, so check-and-admit is atomic under the event loop.
+        Returns ``(commit_ts, None)``, or ``(None, conflict_key)`` when
+        the check rejects the transaction.
+        """
+        certify = start_ts is not None and self.ssi is not None
+        if certify:
+            rpairs = _read_pairs(reads)
+            conflict = self.ssi.check(start_ts, writes, rpairs)
+            if conflict is not None:
+                self.registry.counter("ssi_aborts").inc()
+                return None, list(conflict)
+        commit_ts = self.oracle.next()
+        self._note_ts(commit_ts)
+        if certify:
+            self.ssi.admit(start_ts, commit_ts, writes, rpairs)
+        return commit_ts, None
+
+    @staticmethod
+    def _log_record(client_id: str, commit_ts: int, writes) -> LogRecord:
+        """The recovery-log record of a committed write-set (or slice)."""
+        cells_by_table: Dict[str, List] = {}
+        for table, row, column, value in writes:
+            cells_by_table.setdefault(table, []).append(
+                (row, column, commit_ts, value)
+            )
+        return LogRecord(
+            commit_ts=commit_ts,
+            client_id=client_id,
+            cells_by_table=cells_by_table,
+            nbytes=max(96 * len(writes), 96),
+        )
+
+    # ------------------------------------------------------------------
+    # commit protocol: local commits and cross-shard 2PC
+    # ------------------------------------------------------------------
     @staticmethod
     def _reply_from_outcome(outcome: dict) -> dict:
         if outcome["outcome"] == "commit":
             return {"status": "committed", "commit_ts": outcome["commit_ts"]}
         return {"status": "aborted", "conflict_key": outcome.get("conflict_key")}
 
-    def _certify_sharded(self, start_ts: int, keys, txn_key):
+    def _certify(self, start_ts: int, keys, txn_key):
         """Certification plus the reservation check: a key held by another
         prepared-but-undecided transaction conflicts conservatively."""
         for wkey in keys:
@@ -495,29 +461,21 @@ class TransactionManager(Node):
         client_id, txn_id = key
         keys = [(table, row, column) for table, row, column, _value in writes]
         rkeys = [tuple(rkey) for rkey in reads] if reads else []
-        conflict = self._certify_sharded(start_ts, keys, key)
+        conflict = self._certify(start_ts, keys, key)
         if conflict is not None:
             self._n_aborts.inc()
             certify_span.end(outcome="aborted")
             return {"status": "aborted", "conflict_key": list(conflict)}
         if self.is_authority:
-            if self.ssi is not None:
-                ssi_conflict = self.ssi.check(
-                    start_ts, keys, _read_pairs(rkeys)
-                )
-                if ssi_conflict is not None:
-                    self._n_aborts.inc()
-                    self.registry.counter("ssi_aborts").inc()
-                    certify_span.end(outcome="aborted")
-                    return {
-                        "status": "aborted",
-                        "conflict_key": list(ssi_conflict),
-                        "ssi": True,
-                    }
-            commit_ts = self.oracle.next()
-            self._note_ts(commit_ts)
-            if self.ssi is not None:
-                self.ssi.admit(start_ts, commit_ts, keys, _read_pairs(rkeys))
+            commit_ts, ssi_conflict = self._mint(start_ts, keys, rkeys)
+            if ssi_conflict is not None:
+                self._n_aborts.inc()
+                certify_span.end(outcome="aborted")
+                return {
+                    "status": "aborted",
+                    "conflict_key": ssi_conflict,
+                    "ssi": True,
+                }
         else:
             # Hold the keys while fetching the stamp so a concurrent
             # certification cannot slip a conflicting commit in between.
@@ -562,20 +520,13 @@ class TransactionManager(Node):
         self.certifier.record(commit_ts, keys)
         self._n_commits.inc()
         certify_span.end(outcome="committed")
+        if self.settings.snapshot_visibility == "flushed":
+            heapq.heappush(self._unflushed, commit_ts)
         if log_commit:
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in writes:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=client_id,
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(writes), 96),
-            )
+            # Queue wait + group-commit window + disk sync, all in one
+            # stage: the client is unblocked exactly when this ends.
             append_span = certify_span.child("commit.log_append")
-            yield self.log.append(record)
+            yield self.log.append(self._log_record(client_id, commit_ts, writes))
             append_span.end()
         return {"status": "committed", "commit_ts": commit_ts}
 
@@ -645,18 +596,11 @@ class TransactionManager(Node):
                 key, proposal, ssi=ssi_payload
             )
         else:
-            extra = {}
-            if ssi_payload is not None:
-                extra = dict(
-                    start_ts=ssi_payload["start_ts"],
-                    writes=ssi_payload["writes"],
-                    reads=ssi_payload["reads"],
-                )
             decision = yield from self.call_with_retry(
                 self.shard_addrs[0], "decide",
                 policy=SHARD_RPC_RETRY, timeout=5.0,
                 client_id=client_id, txn_id=txn_id, outcome=proposal,
-                **extra,
+                **(ssi_payload or {}),
             )
             self._note_ts(decision.get("commit_ts"))
         # Ack point: the decision is durably registered and (below) the
@@ -698,7 +642,7 @@ class TransactionManager(Node):
         if key in self._prepared:
             return {"status": "prepared"}
         keys = [(table, row, column) for table, row, column, _value in writes]
-        conflict = self._certify_sharded(start_ts, keys, key)
+        conflict = self._certify(start_ts, keys, key)
         if conflict is not None:
             return {"status": "aborted", "conflict_key": list(conflict)}
         self._reserve(keys, key)
@@ -755,27 +699,16 @@ class TransactionManager(Node):
         try:
             entry = {"outcome": proposal, "commit_ts": None}
             if proposal == "commit":
-                if ssi is not None and self.ssi is not None:
-                    ssi_conflict = self.ssi.check(
-                        ssi["start_ts"], ssi["writes"],
-                        _read_pairs(ssi["reads"]),
-                    )
-                    if ssi_conflict is not None:
-                        self.registry.counter("ssi_aborts").inc()
-                        entry = {
-                            "outcome": "abort",
-                            "commit_ts": None,
-                            "conflict_key": list(ssi_conflict),
-                            "ssi": True,
-                        }
-                if entry["outcome"] == "commit":
-                    entry["commit_ts"] = self.oracle.next()
-                    self._note_ts(entry["commit_ts"])
-                    if ssi is not None and self.ssi is not None:
-                        self.ssi.admit(
-                            ssi["start_ts"], entry["commit_ts"],
-                            ssi["writes"], _read_pairs(ssi["reads"]),
-                        )
+                commit_ts, ssi_conflict = self._mint(**(ssi or {}))
+                if ssi_conflict is None:
+                    entry["commit_ts"] = commit_ts
+                else:
+                    entry = {
+                        "outcome": "abort",
+                        "commit_ts": None,
+                        "conflict_key": ssi_conflict,
+                        "ssi": True,
+                    }
             yield from self._durable_write(128)
         except BaseException as exc:
             self._registry_gates.pop(key, None)
@@ -833,18 +766,14 @@ class TransactionManager(Node):
         if cached is not None:
             # A duplicate decided while this one waited on the CPU.
             return dict(cached)
-        wkeys = [tuple(wkey) for wkey in writes]
-        rpairs = _read_pairs(reads)
-        ssi_conflict = self.ssi.check(start_ts, wkeys, rpairs)
+        ts, ssi_conflict = self._mint(
+            start_ts, [tuple(wkey) for wkey in writes], reads
+        )
         if ssi_conflict is None:
-            ts = self.oracle.next()
-            self._note_ts(ts)
-            self.ssi.admit(start_ts, ts, wkeys, rpairs)
             self._n_ts_grants.inc()
             grant = {"status": "committed", "commit_ts": ts}
         else:
-            self.registry.counter("ssi_aborts").inc()
-            grant = {"status": "aborted", "conflict_key": list(ssi_conflict)}
+            grant = {"status": "aborted", "conflict_key": ssi_conflict}
         self._ssi_grants[key] = grant
         while len(self._ssi_grants) > self.settings.commit_cache_size:
             self._ssi_grants.popitem(last=False)
@@ -856,8 +785,7 @@ class TransactionManager(Node):
             raise ValueError(f"{self.addr} is not the timestamp authority")
         yield from self.cpu.use(self.settings.op_service_time)
         self._n_ts_grants.inc()
-        ts = self.oracle.next()
-        self._note_ts(ts)
+        ts, _ = self._mint()
         return ts
 
     def _apply_decision(self, key, decision):
@@ -871,32 +799,20 @@ class TransactionManager(Node):
         if key in self._applied:
             return
         entry = self._prepared.get(key)
-        if decision["outcome"] == "commit" and entry is not None:
-            commit_ts = decision["commit_ts"]
-            self._note_ts(commit_ts)
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in entry["writes"]:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=entry["client_id"],
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(entry["writes"]), 96),
-            )
-            yield self.log.append(record)
-            keys = [
-                (table, row, column)
-                for table, row, column, _value in entry["writes"]
-            ]
-            self.certifier.record(commit_ts, keys)
         if entry is not None:
-            self._prepared.pop(key, None)
             keys = [
                 (table, row, column)
                 for table, row, column, _value in entry["writes"]
             ]
+            if decision["outcome"] == "commit":
+                commit_ts = decision["commit_ts"]
+                self._note_ts(commit_ts)
+                yield self.log.append(
+                    self._log_record(entry["client_id"], commit_ts,
+                                     entry["writes"])
+                )
+                self.certifier.record(commit_ts, keys)
+            self._prepared.pop(key, None)
             self._release(keys, key)
             self._n_decisions_applied.inc()
         self._applied[key] = {
@@ -936,6 +852,12 @@ class TransactionManager(Node):
                 except Exception:
                     yield self.sleep(0.25)
         self.registry.counter("decision_fanouts").inc()
+
+    def _spawn_indoubt_resolver(self) -> None:
+        # Only a peer shard can leave a transaction in doubt here; on a
+        # lone TM the resolver would only add timer events.
+        if self.n_shards > 1:
+            self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
 
     def _indoubt_resolver(self):
         """Background arm of the non-blocking guarantee: any prepared
@@ -996,22 +918,17 @@ class TransactionManager(Node):
         """
         self._deciding.clear()
         self._inflight_commits.clear()
-        if self.n_shards > 1:
-            self._registry_gates.clear()
-            if self.ssi is not None:
-                # The rw-edge window (and the grant cache) is volatile:
-                # read-sets are never logged.  Replace it immediately,
-                # floored past every pre-crash stamp, so a request that
-                # sneaks in between revive() and the restart process's
-                # first step cannot certify against a hole -- snapshots
-                # taken before the crash abort conservatively.
-                self.ssi = SSIWindow(
-                    horizon=self.settings.certification_horizon
-                )
-                self.ssi.raise_floor(
-                    self._latest_known_ts() + TS_RESEED_MARGIN
-                )
-            self._ssi_grants.clear()
+        self._registry_gates.clear()
+        if self.ssi is not None:
+            # The rw-edge window (and the grant cache) is volatile:
+            # read-sets are never logged.  Replace it immediately,
+            # floored past every pre-crash stamp, so a request that
+            # sneaks in between revive() and the restart process's
+            # first step cannot certify against a hole -- snapshots
+            # taken before the crash abort conservatively.
+            self.ssi = SSIWindow(horizon=self.settings.certification_horizon)
+            self.ssi.raise_floor(self._latest_known_ts() + TS_RESEED_MARGIN)
+        self._ssi_grants.clear()
 
     def restart(self):
         """Revive this shard after a crash (generator; spawn post-revive).
@@ -1045,7 +962,7 @@ class TransactionManager(Node):
             self.oracle = TimestampOracle(
                 start=self._latest_known_ts() + TS_RESEED_MARGIN
             )
-        self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
+        self._spawn_indoubt_resolver()
         peer_latest = 0
         for addr in self.shard_addrs:
             if addr == self.addr:
@@ -1130,7 +1047,7 @@ class TransactionManager(Node):
         yet fanned out lands in the log before the fetch answers, so
         recovery replay never misses an acknowledged slice.
         """
-        if self.n_shards > 1 and self._prepared:
+        if self._prepared:
             yield from self._resolve_indoubt(min_age=0.0)
         records = yield from self.log.fetch_gen(after_ts, client_id=client_id)
         return [r.to_wire() for r in records]
@@ -1144,15 +1061,12 @@ class TransactionManager(Node):
         """The newest timestamp this node knows of.  A shard answers with
         everything it has *witnessed* (grants, decisions, logged slices),
         which is what the authority's crash re-seed needs from peers."""
-        if self.n_shards > 1:
-            return self._latest_known_ts()
-        return self.oracle.current()
+        return self._latest_known_ts()
 
     def metrics(self) -> dict:
         """Uniform registry snapshot for the transaction manager."""
-        if self.n_shards > 1:
-            self.registry.gauge("indoubt").set(len(self._prepared))
-            self.registry.gauge("reserved").set(len(self._reserved))
+        self.registry.gauge("indoubt").set(len(self._prepared))
+        self.registry.gauge("reserved").set(len(self._reserved))
         if self.ssi is not None:
             tracked, floor = self.ssi.window_size()
             self.registry.gauge("ssi_window").set(tracked)

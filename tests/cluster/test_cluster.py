@@ -133,6 +133,47 @@ def test_tm_shard_crash_restart_require_sharded_tm():
     assert cluster.tms[0].alive
 
 
+def _live_process_names(node):
+    """Names of the node's live processes, without the ``addr/`` prefix."""
+    return [proc.name.split("/", 1)[1] for proc in node._procs]
+
+
+def test_default_cluster_is_a_one_shard_tm():
+    cluster = make(n_rows=1000)
+    assert cluster.tms == [cluster.tm]
+    assert cluster.tm.addr == "tm"
+    assert cluster.tm.shard_addrs == ["tm"]
+    # No peer can leave a transaction in doubt on a lone TM.
+    assert "indoubt-resolver" not in _live_process_names(cluster.tm)
+
+
+def test_sharded_tm_runs_an_indoubt_resolver_per_shard():
+    config = ClusterConfig(seed=74)
+    config.workload.n_rows = 1000
+    config.txn.tm_shards = 2
+    cluster = SimCluster(config).start()
+    assert [tm.addr for tm in cluster.tms] == ["tm0", "tm1"]
+    assert cluster.tm is cluster.tms[0]
+    for tm in cluster.tms:
+        assert tm.shard_addrs == ["tm0", "tm1"]
+        assert "indoubt-resolver" in _live_process_names(tm)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("log_shards", 2, "log_shards"),
+        ("snapshot_visibility", "flushed", "snapshot_visibility"),
+    ],
+)
+def test_sharded_tm_rejects_incompatible_txn_settings(field, value, match):
+    config = ClusterConfig(seed=75)
+    config.txn.tm_shards = 2
+    setattr(config.txn, field, value)
+    with pytest.raises(ValueError, match=match):
+        SimCluster(config)
+
+
 def test_crash_server_kills_colocated_datanode():
     cluster = make()
     cluster.crash_server(0)
